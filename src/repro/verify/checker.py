@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import re
 import signal
-import sys
 import threading
 import time
-import weakref
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import IO, Optional
@@ -64,55 +62,8 @@ _KEEP_GEN = object()
 _NO_ENTRY = object()
 
 # The effects of an action that touched nothing (an application hit:
-# only the event generator advances).  Lets the hit path share the
-# successor memo in _successor_for.
+# only the event generator advances).
 _NO_EFFECTS = ActionEffects((), (), None, (), None)
-
-# Process-global fast-engine caches, shared by every checker over the
-# same compiled protocol:
-#
-#   effects  (node, BlockView, Message, blocked_on) -> ActionEffects.
-#            An action's effects are a pure function of those inputs
-#            *given* the protocol, the execution engine, and the home
-#            map -- and the home map is always ``block % n_nodes`` --
-#            so caches are scoped by (interpreter_factory, n_nodes)
-#            under the protocol.
-#   succ     (parent, node, effects, gen, removed) -> successor state.
-#            Replaying effects is itself deterministic, so repeated
-#            explorations of the same graph (bench repeats, trace
-#            replays, parallel workers re-expanding) skip tuple surgery
-#            entirely.
-#   intern   state -> canonical state.  Canonical states carry their
-#            cached hash and make visited-set equality an identity hit.
-#   verdicts invariant-tuple -> {state -> (message, n_evaluated)}.
-#            An invariant is a pure predicate of (state, protocol), and
-#            each run evaluates it once per state anyway, so caching
-#            verdicts across runs changes nothing observable (the
-#            evaluation counts are replayed from n_evaluated).
-#
-# The registry holds protocols via weakrefs (CompiledProtocol is an
-# unhashable mutable-eq dataclass, hence the id keying plus finalizer):
-# a protocol's caches -- and every state/effect they pin -- die with it.
-# Like the compile cache, this assumes compiled protocols are not
-# mutated after use.
-_ENGINE_CACHES: dict = {}
-
-
-def _engine_caches_for(protocol, interpreter_factory,
-                       n_nodes: int) -> tuple:
-    entry = _ENGINE_CACHES.get(id(protocol))
-    if entry is None or entry[0]() is not protocol:
-        ref = weakref.ref(
-            protocol,
-            lambda _r, key=id(protocol): _ENGINE_CACHES.pop(key, None))
-        entry = _ENGINE_CACHES[id(protocol)] = (ref, {})
-    per_protocol = entry[1]
-    key = (interpreter_factory, n_nodes)
-    caches = per_protocol.get(key)
-    if caches is None:
-        caches = per_protocol[key] = ({}, {}, {}, {})
-    return caches
-
 
 # fault_for_access is a pure function of (access tag value, op kind);
 # memoised because the hot loop consults it per application choice.
@@ -574,16 +525,20 @@ class ModelChecker:
         self._invariant_evals: dict[str, int] = {}
         self._handler_fires: dict[str, int] = {}
         self._progress_window: deque = deque(maxlen=8)
-        # Fast-engine memo tables (harmless when engine="legacy");
-        # shared process-wide between checkers over the same
-        # protocol/engine -- see _engine_caches_for.
-        (self._action_cache, self._succ_cache, self._state_intern,
-         self._invariant_verdicts) = _engine_caches_for(
-            protocol, interpreter_factory, n_nodes)
-        # Bound to one invariant-tuple's verdict map by run(); None
-        # outside a fast-engine run (legacy runs and replay clones
-        # evaluate directly).
-        self._inv_verdicts: Optional[dict] = None
+        self._named_invariants = [
+            (self._invariant_name(invariant), invariant)
+            for invariant in self.invariants]
+        # Fast-engine tables (unused when engine="legacy"), owned by
+        # this checker so nothing a run explored outlives the checker:
+        #   effects (node, BlockView, Message, blocked_on) ->
+        #           ActionEffects.  An action's effects are a pure
+        #           function of those inputs given the protocol, the
+        #           execution engine and the home map, all fixed here.
+        #   intern  state -> canonical state.  Canonical states carry
+        #           their cached hash and make visited-set equality an
+        #           identity hit.
+        self._action_cache: dict = {}
+        self._state_intern: dict = {}
         # (state_name, tag) -> handler-fire key or None, so _count_fire
         # stops re-resolving DEFAULT dispatch per expansion:
         self._fire_key_table: dict = {}
@@ -738,23 +693,6 @@ class ModelChecker:
             object.__setattr__(successor, "_cong", (cap, cong[1] + delta))
         return successor
 
-    def _successor_for(self, state: GlobalState, node: int,
-                       effects, gen, removed) -> GlobalState:
-        """Memoised :meth:`_build_successor`: replaying the same effects
-        on the same parent always yields the same state, so repeat
-        expansions are a dict hit.  ``effects`` is keyed by identity
-        (cached ActionEffects are canonical per input 4-tuple); profiled
-        runs record fresh effects per action, so they build directly."""
-        if self.profiler is not None:
-            return self._build_successor(state, node, effects,
-                                         gen=gen, removed=removed)
-        key = (state, node, effects, gen, removed)
-        successor = self._succ_cache.get(key)
-        if successor is None:
-            successor = self._succ_cache[key] = self._build_successor(
-                state, node, effects, gen=gen, removed=removed)
-        return successor
-
     def _congestion_count(self, state: GlobalState) -> int:
         """How many channels/deferred queues sit at the channel cap.
         Computed once per state and carried forward incrementally by
@@ -794,8 +732,8 @@ class ModelChecker:
                 # generator the successor IS the parent (a self-loop).
                 if new_gen == app.gen:
                     return state
-                return self._successor_for(state, node, _NO_EFFECTS,
-                                           new_gen, None)
+                return self._build_successor(state, node, _NO_EFFECTS,
+                                             new_gen)
             message = intern_message(
                 Message(fault, block, src=node, dst=node))
         else:  # program event (CAS, sync, LCM enter/exit, ...)
@@ -806,7 +744,7 @@ class ModelChecker:
         effects = self._action_effects(state, node, message, block)
         if effects.error is not None:
             raise CheckerViolation(effects.error)
-        return self._successor_for(state, node, effects, new_gen, None)
+        return self._build_successor(state, node, effects, new_gen)
 
     def _apply_delivery(self, state: GlobalState, src: int, dst: int,
                         index: int) -> GlobalState:
@@ -815,8 +753,8 @@ class ModelChecker:
                                        state.apps[dst].blocked_on)
         if effects.error is not None:
             raise CheckerViolation(effects.error)
-        return self._successor_for(state, dst, effects, _KEEP_GEN,
-                                   (src, dst, index))
+        return self._build_successor(state, dst, effects,
+                                     removed=(src, dst, index))
 
     def _delivery_label(self, message: Message, src: int, dst: int,
                         index: int) -> str:
@@ -1152,23 +1090,68 @@ class ModelChecker:
                 signal.signal(signal.SIGINT, previous)
         return self._run_bfs([False])
 
-    def _run_bfs(self, interrupt_cell) -> CheckResult:
+    def _begin_run(self) -> float:
+        """Reset the per-run counters; returns the run's start time."""
         start_time = time.perf_counter()
-        prof = self.profiler
-        if prof is not None:
-            prof.begin()
+        if self.profiler is not None:
+            self.profiler.begin()
         self._progress_window = deque(maxlen=8)
         self._invariant_evals = {}
         self._handler_fires = {}
-        self._named_invariants = [
-            (self._invariant_name(invariant), invariant)
-            for invariant in self.invariants
-        ]
-        if self.engine == "fast":
-            self._inv_verdicts = self._invariant_verdicts.setdefault(
-                tuple(inv for _name, inv in self._named_invariants), {})
-        else:
-            self._inv_verdicts = None
+        return start_time
+
+    def _result(self, ok: bool, violation: Optional[Violation],
+                start_time: float, visited, parents, frontier_size: int,
+                transitions: int, max_depth: int, hit_limit: bool,
+                stop_reason: Optional[str], baseline_elapsed: float = 0.0,
+                pruned: Optional[int] = None) -> CheckResult:
+        """The CheckResult of a serial run (``pruned`` is POR's pruned
+        transition count, None for unreduced runs), with the profile and
+        atlas artifacts when those observers are armed."""
+        if self.fingerprint_states and violation is not None:
+            # Collision guard: the trace came from fingerprint-keyed
+            # parent pointers; make sure it actually replays.
+            self.verify_violation(violation)
+        if self.progress_stream is not None:
+            self._report_progress(len(visited), frontier_size, max_depth,
+                                  transitions, start_time, final=True)
+        res = CheckResult(
+            protocol_name=self.protocol.name,
+            ok=ok,
+            states_explored=len(visited),
+            transitions=transitions,
+            max_depth=max_depth,
+            elapsed_seconds=baseline_elapsed
+            + (time.perf_counter() - start_time),
+            violation=violation,
+            n_nodes=self.n_nodes,
+            n_blocks=self.n_blocks,
+            reorder_bound=self.reorder_bound,
+            hit_state_limit=hit_limit,
+            invariant_evals=dict(self._invariant_evals),
+            handler_fires=dict(self._handler_fires),
+            exhausted=not hit_limit and stop_reason is None,
+            fault_budget=self.fault_budget,
+            canonical_states=len(visited) if self.symmetry else None,
+            pruned_transitions=pruned or 0,
+            stop_reason=stop_reason,
+        )
+        prof = self.profiler
+        if prof is not None:
+            prof.sample(len(visited), frontier_size, max_depth, transitions,
+                        pruned=pruned)
+            prof.set_visited(
+                entries=len(visited),
+                mode="fingerprint" if self.fingerprint_states else "state",
+                container_bytes=visited_container_bytes(visited, parents))
+            res.profile = prof.build(res)
+        if self.atlas is not None:
+            res.atlas = self.atlas.build(res)
+        return res
+
+    def _run_bfs(self, interrupt_cell) -> CheckResult:
+        start_time = self._begin_run()
+        prof = self.profiler
         # The visited set and parent pointers are keyed either by the
         # state itself or, in fingerprint mode, by its 64-bit digest.
         fp = self.fingerprint_fn if self.fingerprint_states else None
@@ -1228,9 +1211,6 @@ class ModelChecker:
             # cached by fingerprint: each chain replays only the suffix
             # below its deepest cached ancestor.
             clone = self.fresh_clone()
-            clone._named_invariants = [
-                (clone._invariant_name(inv), inv)
-                for inv in clone.invariants]
             replay_cache: dict = {}
 
             def replayed(sfp, pfp, label):
@@ -1296,59 +1276,10 @@ class ModelChecker:
                 graph[initial] = []
 
         def result(ok: bool, violation: Optional[Violation]) -> CheckResult:
-            if fp is not None and violation is not None:
-                # Collision guard: the trace came from fingerprint-keyed
-                # parent pointers; make sure it actually replays.
-                self.verify_violation(violation)
-            if self.progress_stream is not None:
-                self._report_progress(len(visited), len(frontier),
-                                      max_depth, transitions, start_time,
-                                      final=True)
-            res = CheckResult(
-                protocol_name=self.protocol.name,
-                ok=ok,
-                states_explored=len(visited),
-                transitions=transitions,
-                max_depth=max_depth,
-                elapsed_seconds=baseline_elapsed
-                + (time.perf_counter() - start_time),
-                violation=violation,
-                n_nodes=self.n_nodes,
-                n_blocks=self.n_blocks,
-                reorder_bound=self.reorder_bound,
-                hit_state_limit=hit_limit,
-                invariant_evals=dict(self._invariant_evals),
-                handler_fires=dict(self._handler_fires),
-                exhausted=not hit_limit and stop_reason is None,
-                fault_budget=self.fault_budget,
-                canonical_states=(len(visited) if self.symmetry
-                                  else None),
-                stop_reason=stop_reason,
-            )
-            if prof is not None:
-                prof.sample(len(visited), len(frontier), max_depth,
-                            transitions)
-                prof.set_visited(
-                    entries=len(visited),
-                    mode="fingerprint" if fp is not None else "state",
-                    container_bytes=visited_container_bytes(
-                        visited, parents))
-                res.profile = prof.build(res)
-            if atlas is not None:
-                res.atlas = atlas.build(res)
-            return res
-
-        def trace_to(key, last_label: str) -> list[str]:
-            labels: list[str] = []
-            cursor = key
-            while cursor is not None:
-                parent, label = parents[cursor]
-                if parent is not None:
-                    labels.append(label)
-                cursor = parent
-            labels.reverse()
-            labels.append(last_label)
-            return labels
+            return self._result(
+                ok, violation, start_time, visited, parents, len(frontier),
+                transitions, max_depth, hit_limit, stop_reason,
+                baseline_elapsed=baseline_elapsed)
 
         if self.resume:
             if seed_violations:
@@ -1357,16 +1288,8 @@ class ModelChecker:
                 # the verdict is engine- and worker-count independent.
                 d, message, sfp, state = min(
                     seed_violations, key=lambda v: (v[0], v[1], v[2]))
-                labels: list[str] = []
-                cursor = sfp
-                while cursor is not None:
-                    parent, label = parents[cursor]
-                    if parent is not None:
-                        labels.append(label)
-                    cursor = parent
-                labels.reverse()
-                if not labels:
-                    labels = ["<initial>"]
+                labels = (self._trace_via_parents(sfp, parents)
+                          or ["<initial>"])
                 return result(False, Violation(
                     "invariant", message, labels, state))
         else:
@@ -1567,23 +1490,25 @@ class ModelChecker:
                     if message is not None:
                         return result(False, Violation(
                             "invariant", message,
-                            trace_to(key, label), successor))
+                            self._trace_via_parents(key, parents, label),
+                            successor))
                     frontier.append((successor, succ_key))
             except _LabelledViolation as labelled:
                 return result(False, Violation(
                     "error", labelled.message,
-                    trace_to(key, labelled.label), state))
+                    self._trace_via_parents(key, parents,
+                                            labelled.label), state))
             if sym_keys is not None:
                 self._certify_symmetry(state, sym_keys)
             if prof is not None:
                 prof.add_out_degree(out_degree)
             if not found_successor:
-                _, last_label = parents[key]
                 return result(False, Violation(
                     "deadlock",
                     "no rule enabled: all nodes blocked and no messages "
                     "in flight",
-                    trace_to(key, "<stuck>"), state))
+                    self._trace_via_parents(key, parents, "<stuck>"),
+                    state))
 
         if self.check_progress and not hit_limit and stop_reason is None:
             violation = self._check_progress(graph, parents)
@@ -1664,22 +1589,8 @@ class ModelChecker:
 
     def _run_por(self) -> CheckResult:
         """Breadth-first exploration with sleep-set pruning."""
-        start_time = time.perf_counter()
+        start_time = self._begin_run()
         prof = self.profiler
-        if prof is not None:
-            prof.begin()
-        self._progress_window = deque(maxlen=8)
-        self._invariant_evals = {}
-        self._handler_fires = {}
-        self._named_invariants = [
-            (self._invariant_name(invariant), invariant)
-            for invariant in self.invariants
-        ]
-        if self.engine == "fast":
-            self._inv_verdicts = self._invariant_verdicts.setdefault(
-                tuple(inv for _name, inv in self._named_invariants), {})
-        else:
-            self._inv_verdicts = None
         initial = initial_global_state(
             self.protocol, self.n_nodes, self.n_blocks, self.home_of,
             self.events.initial, faults=self.fault_budget)
@@ -1714,57 +1625,10 @@ class ModelChecker:
         stop_reason: Optional[str] = None
 
         def result(ok: bool, violation: Optional[Violation]) -> CheckResult:
-            if fp is not None and violation is not None:
-                self.verify_violation(violation)
-            if self.progress_stream is not None:
-                self._report_progress(len(visited), len(frontier),
-                                      max_depth, transitions, start_time,
-                                      final=True)
-            res = CheckResult(
-                protocol_name=self.protocol.name,
-                ok=ok,
-                states_explored=len(visited),
-                transitions=transitions,
-                max_depth=max_depth,
-                elapsed_seconds=time.perf_counter() - start_time,
-                violation=violation,
-                n_nodes=self.n_nodes,
-                n_blocks=self.n_blocks,
-                reorder_bound=self.reorder_bound,
-                hit_state_limit=hit_limit,
-                invariant_evals=dict(self._invariant_evals),
-                handler_fires=dict(self._handler_fires),
-                exhausted=not hit_limit and stop_reason is None,
-                fault_budget=self.fault_budget,
-                canonical_states=(len(visited) if self.symmetry
-                                  else None),
-                pruned_transitions=pruned,
-                stop_reason=stop_reason,
-            )
-            if prof is not None:
-                prof.sample(len(visited), len(frontier), max_depth,
-                            transitions, pruned=pruned)
-                prof.set_visited(
-                    entries=len(visited),
-                    mode="fingerprint" if fp is not None else "state",
-                    container_bytes=(sys.getsizeof(visited)
-                                     + sys.getsizeof(parents)))
-                res.profile = prof.build(res)
-            if atlas is not None:
-                res.atlas = atlas.build(res)
-            return res
-
-        def trace_to(key, last_label: str) -> list[str]:
-            labels: list[str] = []
-            cursor = key
-            while cursor is not None:
-                parent, label = parents[cursor]
-                if parent is not None:
-                    labels.append(label)
-                cursor = parent
-            labels.reverse()
-            labels.append(last_label)
-            return labels
+            return self._result(
+                ok, violation, start_time, visited, parents, len(frontier),
+                transitions, max_depth, hit_limit, stop_reason,
+                pruned=pruned)
 
         congestion = self._congestion_count
 
@@ -1884,7 +1748,8 @@ class ModelChecker:
                 if message is not None:
                     return result(False, Violation(
                         "invariant", message,
-                        trace_to(key, label), successor))
+                        self._trace_via_parents(key, parents, label),
+                        successor))
                 frontier.append(succ_key)
                 return None
 
@@ -1939,7 +1804,8 @@ class ModelChecker:
             except _LabelledViolation as labelled:
                 return result(False, Violation(
                     "error", labelled.message,
-                    trace_to(key, labelled.label), state))
+                    self._trace_via_parents(key, parents,
+                                            labelled.label), state))
             if self.symmetry:
                 # Sleep sets prune some moves above, so the comparison
                 # recomputes the full successor set from scratch.
@@ -1947,12 +1813,12 @@ class ModelChecker:
             if prof is not None:
                 prof.add_out_degree(out_degree)
             if not found_successor:
-                _, last_label = parents[key]
                 return result(False, Violation(
                     "deadlock",
                     "no rule enabled: all nodes blocked and no messages "
                     "in flight",
-                    trace_to(key, "<stuck>"), state))
+                    self._trace_via_parents(key, parents, "<stuck>"),
+                    state))
 
         return result(True, None)
 
@@ -1985,10 +1851,7 @@ class ModelChecker:
                 "a fingerprint collision corrupted the violation path"
             ) from None
         if violation.kind == "invariant":
-            clone = self.fresh_clone()
-            clone._invariant_evals = {}
-            clone._named_invariants = self._named_invariants
-            if clone._check_invariants(final) is None:
+            if self.fresh_clone()._check_invariants(final) is None:
                 raise FingerprintCollisionError(
                     "replayed end state satisfies every invariant; a "
                     "fingerprint collision corrupted the violation path")
@@ -2042,15 +1905,18 @@ class ModelChecker:
         return None
 
     @staticmethod
-    def _trace_via_parents(state, parents) -> list[str]:
+    def _trace_via_parents(key, parents, *tail: str) -> list[str]:
+        """The rule labels from the initial state to ``key``, walked
+        back along the (parent key, label) pointers, then ``tail``."""
         labels: list[str] = []
-        cursor = state
+        cursor = key
         while cursor is not None:
             parent, label = parents[cursor]
             if parent is not None:
                 labels.append(label)
             cursor = parent
         labels.reverse()
+        labels.extend(tail)
         return labels
 
     def _report_progress(self, states: int, frontier_size: int,
@@ -2080,28 +1946,7 @@ class ModelChecker:
 
     def _check_invariants(self, state: GlobalState) -> Optional[str]:
         evals = self._invariant_evals
-        named = self._named_invariants
-        cache = self._inv_verdicts
-        if cache is not None:
-            hit = cache.get(state)
-            if hit is not None:
-                # Replay the verdict *and* the evaluation counts: the
-                # original evaluation stopped after n_evaluated checks.
-                message, n_evaluated = hit
-                for name, _inv in named[:n_evaluated]:
-                    evals[name] = evals.get(name, 0) + 1
-                return message
-            message = None
-            n_evaluated = 0
-            for name, invariant in named:
-                evals[name] = evals.get(name, 0) + 1
-                n_evaluated += 1
-                message = invariant(state, self.protocol)
-                if message is not None:
-                    break
-            cache[state] = (message, n_evaluated)
-            return message
-        for name, invariant in named:
+        for name, invariant in self._named_invariants:
             evals[name] = evals.get(name, 0) + 1
             message = invariant(state, self.protocol)
             if message is not None:
@@ -2119,8 +1964,6 @@ def replay_labels(checker: ModelChecker, labels: list) -> GlobalState:
     :class:`TraceReplayError` when no successor carries the expected
     label -- on a fingerprint-reconstructed trace that means a
     collision."""
-    checker._named_invariants = [
-        (checker._invariant_name(inv), inv) for inv in checker.invariants]
     state = initial_global_state(
         checker.protocol, checker.n_nodes, checker.n_blocks,
         checker.home_of, checker.events.initial,
@@ -2153,8 +1996,7 @@ def replay_step(checker: ModelChecker, state: GlobalState,
 
     The memoized chain replays (checkpoint frontier reconstruction)
     call this per edge below a cached ancestor instead of re-walking
-    whole chains through :func:`replay_labels`.  ``checker`` must have
-    ``_named_invariants`` prepared.  Raises :class:`TraceReplayError`
+    whole chains through :func:`replay_labels`.  Raises :class:`TraceReplayError`
     when no successor carries the label or an error rule fires first --
     either means the chain does not belong to this protocol build."""
     try:

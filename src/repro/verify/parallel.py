@@ -189,13 +189,6 @@ def _worker_main(conn, worker_id: int, n_workers: int,
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     checker._invariant_evals = {}
     checker._handler_fires = {}
-    checker._named_invariants = [
-        (checker._invariant_name(inv), inv) for inv in checker.invariants]
-    if checker.engine == "fast":
-        checker._inv_verdicts = checker._invariant_verdicts.setdefault(
-            tuple(inv for _name, inv in checker._named_invariants), {})
-    else:
-        checker._inv_verdicts = None
     fp_fn = checker.fingerprint_fn
     atlas = checker.atlas
     if atlas is not None:
@@ -709,9 +702,6 @@ class ParallelChecker:
             return states
         template = self._template
         replayer = template.fresh_clone()
-        replayer._named_invariants = [
-            (replayer._invariant_name(inv), inv)
-            for inv in replayer.invariants]
         parents = mirror["parents"]
         # Sibling frontier states share almost their whole chain, so
         # replayed ancestors are cached by fingerprint and each chain

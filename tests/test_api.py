@@ -1,5 +1,6 @@
 """Tests for the typed repro.api facade and the deprecation shims."""
 
+import gc
 import warnings
 
 import pytest
@@ -18,6 +19,7 @@ from repro.api import (
 )
 from repro.runtime.protocol import CompiledProtocol
 from repro.protocols import load_protocol_source
+from repro.verify.model import GlobalState
 
 
 class TestCompileProtocol:
@@ -116,6 +118,20 @@ class TestCheck:
     def test_rejects_liveness_with_workers(self):
         with pytest.raises(ValueError):
             check("stache", CheckOptions(workers=2, liveness=True))
+
+    def test_repeated_checks_retain_no_states(self):
+        # Memory stays bounded across repeated library calls: once a
+        # result is dropped, none of the states its run explored stay
+        # reachable from the process.
+        def live_states():
+            gc.collect()
+            return sum(isinstance(obj, GlobalState)
+                       for obj in gc.get_objects())
+
+        before = live_states()
+        for _ in range(3):
+            check("stache", CheckOptions(nodes=2, addresses=1, reorder=1))
+            assert live_states() <= before
 
 
 class TestSimulate:

@@ -14,6 +14,10 @@ not speedup -- the report records ``cpu_count`` so readers can judge
 the numbers.  The default row finishes in seconds; ``--scaled`` adds a
 3-node row (~355k states) where the parallel overhead amortises.
 
+Every repeat is a fresh interpreter that compiles the protocol and then
+times one ``checker.run()``, with no warm-up, so a row measures what a
+cold run gets.
+
 Usage::
 
     PYTHONPATH=src python tools/bench_check_parallel.py \
@@ -23,13 +27,19 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from bench_common import bench_meta, timing_row, write_bench  # noqa: E402
+from bench_common import (  # noqa: E402
+    bench_meta,
+    cold_sample,
+    timing_row,
+    write_bench,
+)
 from repro.protocols import compile_named_protocol  # noqa: E402
 from repro.verify import (  # noqa: E402
     ModelChecker,
@@ -57,6 +67,19 @@ def run_config(n_nodes, n_blocks, reorder, workers):
     return result, elapsed
 
 
+def child(n_nodes, n_blocks, reorder, workers) -> int:
+    """One timed repeat of a configuration; prints its sample as JSON."""
+    result, elapsed = run_config(n_nodes, n_blocks, reorder, workers)
+    print(json.dumps({
+        "seconds": elapsed,
+        "ok": result.ok,
+        "states": result.states_explored,
+        "transitions": result.transitions,
+        "max_depth": result.max_depth,
+    }))
+    return 0
+
+
 def bench_row(label, n_nodes, n_blocks, reorder, worker_counts, repeats):
     print(f"-- {label}: {PROTOCOL} {n_nodes} nodes, {n_blocks} address(es), "
           f"reorder {reorder}")
@@ -66,28 +89,25 @@ def bench_row(label, n_nodes, n_blocks, reorder, worker_counts, repeats):
         name = "serial" if workers == 0 else f"workers_{workers}"
         samples = []
         result = None
-        # Untimed warmup: the fast engine's process-global caches
-        # (compiled protocol, action effects, interned states) make the
-        # first call pay one-time fills; rows record steady state.
-        run_config(n_nodes, n_blocks, reorder, workers)
         for _ in range(repeats):
-            result, elapsed = run_config(n_nodes, n_blocks, reorder, workers)
-            samples.append(elapsed)
+            result = cold_sample(__file__, str(n_nodes), str(n_blocks),
+                                 str(reorder), str(workers))
+            samples.append(result["seconds"])
         row = timing_row(samples)
         median = row["wall_seconds"]
-        states_per_s = result.states_explored / median if median else 0.0
-        verdicts.add((result.ok, result.states_explored, result.transitions))
+        states_per_s = result["states"] / median if median else 0.0
+        verdicts.add((result["ok"], result["states"], result["transitions"]))
         row.update({
-            "states": result.states_explored,
-            "transitions": result.transitions,
-            "max_depth": result.max_depth,
-            "verdict": "PASS" if result.ok else "FAIL",
+            "states": result["states"],
+            "transitions": result["transitions"],
+            "max_depth": result["max_depth"],
+            "verdict": "PASS" if result["ok"] else "FAIL",
             "states_per_second": round(states_per_s, 1),
         })
         rows[name] = row
         print(f"  {name:12s} {median:8.3f}s "
               f"(+/-{row['wall_spread_pct']:.1f}%)  "
-              f"states={result.states_explored}"
+              f"states={result['states']}"
               f"  {states_per_s:10.1f} states/s")
     if len(verdicts) != 1:
         raise SystemExit(f"configurations diverged: {sorted(verdicts)}")
@@ -108,7 +128,12 @@ def main() -> int:
     parser.add_argument("--scaled", action="store_true",
                         help="also run the 3-node LCM MCC row (~355k "
                              "states, minutes of wall time)")
+    parser.add_argument("--child", nargs=4, type=int,
+                        metavar=("NODES", "BLOCKS", "REORDER", "WORKERS"),
+                        help=argparse.SUPPRESS)
     args = parser.parse_args()
+    if args.child:
+        return child(*args.child)
 
     worker_counts = [0, 1, args.workers]
     tables = {
@@ -123,8 +148,9 @@ def main() -> int:
     report.update({
         "protocol": PROTOCOL,
         "repeats": args.repeats,
-        "timer": "median-of-repeats wall time around checker.run() "
-                 "after one untimed warmup, min/max spread per row",
+        "timer": "median-of-repeats wall time around checker.run(), one "
+                 "fresh interpreter per repeat (protocol compiled first, "
+                 "no warm-up), min/max spread per row",
         "rows": tables,
         "note": "verdict, state count, and transition count are asserted "
                 "identical across all configurations; speedup requires "

@@ -8,9 +8,13 @@ count, and transition count must be identical in all four (profiler
 and atlas are pure observers); the script fails loudly if they are
 not.
 
-Timing is median-of-repeats with the min/max spread reported per row:
-comparing best-of minima lets the noisier configuration dip lower and
-can show a pure observer as *negative* overhead.
+Every repeat is a fresh interpreter that compiles the protocol and
+then times one ``api.check()`` call, with no warm-up: a row measures
+what one cold ``teapot verify`` run gets, not a re-run that replays
+tables an earlier call filled.  Timing is median-of-repeats with the
+min/max spread reported per row: comparing best-of minima lets the
+noisier configuration dip lower and can show a pure observer as
+*negative* overhead.
 
 The ``baseline.states_per_second`` number is the regression gate
 ``tools/bench_compare.py`` tracks in CI: every checker-performance PR
@@ -25,6 +29,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import tempfile
@@ -32,13 +37,19 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from bench_common import bench_meta, timing_row, write_bench  # noqa: E402
+from bench_common import (  # noqa: E402
+    bench_meta,
+    cold_sample,
+    timing_row,
+    write_bench,
+)
 from repro.api import (  # noqa: E402
     ArtifactOptions,
     CheckOptions,
     CheckpointOptions,
     ReductionOptions,
     check,
+    compile_protocol,
 )
 
 PROTOCOL = "lcm_mcc"
@@ -54,24 +65,64 @@ REDUCTION_PROTOCOL = "lcm"
 REDUCTION_ROW = dict(nodes=3, addresses=1, reorder=0)
 
 
-def bench(options, repeats, protocol=PROTOCOL):
-    """Wall-time samples across repeats; returns (result, samples).
+# Row name -> (protocol, options) for every timed row.
+CONFIGS = {
+    "baseline": (PROTOCOL, CheckOptions(**ROW)),
+    "profiled": (PROTOCOL, CheckOptions(
+        **ROW, artifacts=ArtifactOptions(profile=True))),
+    "profiled_workers_2": (PROTOCOL, CheckOptions(
+        **ROW, workers=2, artifacts=ArtifactOptions(profile=True))),
+    "atlas_armed": (PROTOCOL, CheckOptions(
+        **ROW, artifacts=ArtifactOptions(atlas=True))),
+    # Checkpointing requires fingerprint-keyed visited sets, so the
+    # honest reference for checkpoint overhead is the same engine
+    # without checkpointing -- not the full-state baseline.
+    "fingerprint_serial": (PROTOCOL, CheckOptions(
+        **ROW, fingerprints=True)),
+    # Serial run writing a sealed checkpoint every other wave: the
+    # cost of resilient checking (reference-frontier format +
+    # single-serialization atomic writes).  Gated in CI so periodic
+    # checkpointing stays cheap.
+    "checkpoint_interval": (PROTOCOL, CheckOptions(
+        **ROW, checkpoint=CheckpointOptions(
+            out="bench_ckpt.json", interval_waves=2))),
+    # The symmetry-reduction pair (see REDUCTION_PROTOCOL).
+    "reduction_full": (REDUCTION_PROTOCOL,
+                       CheckOptions(**REDUCTION_ROW)),
+    "reduction_reduced": (REDUCTION_PROTOCOL, CheckOptions(
+        **REDUCTION_ROW, reduction=ReductionOptions(symmetry=True))),
+}
 
-    One untimed warmup call precedes the timed repeats: the fast
-    engine keeps process-global caches (compiled protocol, action
-    effects, interned states), so the first call pays one-time fills
-    that would otherwise inflate the row's spread by an order of
-    magnitude.  Steady-state throughput is what the regression gate
-    tracks.
-    """
-    check(protocol, options)
-    samples = []
-    result = None
-    for _ in range(repeats):
+
+def child(name: str) -> int:
+    """One timed repeat of row ``name``; prints its sample as JSON."""
+    protocol, options = CONFIGS[name]
+    compile_protocol(protocol)
+    with tempfile.TemporaryDirectory(prefix="teapot-bench-") as workdir:
+        os.chdir(workdir)  # where the checkpoint row writes
         start = time.perf_counter()
         result = check(protocol, options)
-        samples.append(time.perf_counter() - start)
-    return result, samples
+        seconds = time.perf_counter() - start
+    print(json.dumps({
+        "seconds": seconds,
+        "ok": result.ok,
+        "states": result.states_explored,
+        "transitions": result.transitions,
+        "canonical_states": result.canonical_states,
+        "phases": dict(result.profile.phases) if result.profile else None,
+    }))
+    return 0
+
+
+def bench(name, repeats):
+    """Cold wall-time samples of row ``name``, one fresh interpreter
+    per repeat; returns (last sample, samples)."""
+    samples = []
+    sample = None
+    for _ in range(repeats):
+        sample = cold_sample(__file__, name)
+        samples.append(sample["seconds"])
+    return sample, samples
 
 
 def main() -> int:
@@ -79,45 +130,27 @@ def main() -> int:
     parser.add_argument("-o", "--output",
                         default="BENCH_check_profile.json")
     parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--child", metavar="ROW", help=argparse.SUPPRESS)
     args = parser.parse_args()
+    if args.child:
+        return child(args.child)
 
-    ckpt_tmp = tempfile.TemporaryDirectory(prefix="teapot-bench-ckpt-")
-    ckpt_dir = ckpt_tmp.name
-    configs = {
-        "baseline": CheckOptions(**ROW),
-        "profiled": CheckOptions(
-            **ROW, artifacts=ArtifactOptions(profile=True)),
-        "profiled_workers_2": CheckOptions(
-            **ROW, workers=2, artifacts=ArtifactOptions(profile=True)),
-        "atlas_armed": CheckOptions(
-            **ROW, artifacts=ArtifactOptions(atlas=True)),
-        # Checkpointing requires fingerprint-keyed visited sets, so the
-        # honest reference for checkpoint overhead is the same engine
-        # without checkpointing -- not the full-state baseline.
-        "fingerprint_serial": CheckOptions(**ROW, fingerprints=True),
-        # Serial run writing a sealed checkpoint every other wave: the
-        # cost of resilient checking (reference-frontier format +
-        # single-serialization atomic writes).  Gated in CI so periodic
-        # checkpointing stays cheap.
-        "checkpoint_interval": CheckOptions(
-            **ROW, checkpoint=CheckpointOptions(
-                out=os.path.join(ckpt_dir, "bench_ckpt.json"),
-                interval_waves=2)),
-    }
     rows = {}
     outcomes = set()
-    profile = None
-    for name, options in configs.items():
-        result, samples = bench(options, args.repeats)
-        outcomes.add((result.ok, result.states_explored, result.transitions))
+    phases = None
+    for name in CONFIGS:
+        if name.startswith("reduction_"):
+            continue
+        result, samples = bench(name, args.repeats)
+        outcomes.add((result["ok"], result["states"], result["transitions"]))
         row = timing_row(samples)
         seconds = row["wall_seconds"]
-        row["states"] = result.states_explored
+        row["states"] = result["states"]
         row["states_per_second"] = round(
-            result.states_explored / seconds, 1) if seconds else 0.0
+            result["states"] / seconds, 1) if seconds else 0.0
         rows[name] = row
         if name == "profiled":
-            profile = result.profile
+            phases = result["phases"]
         print(f"{name:20s} {seconds:8.4f}s "
               f"(+/-{row['wall_spread_pct']:.1f}%)  "
               f"{row['states_per_second']:10.1f} states/s")
@@ -128,27 +161,22 @@ def main() -> int:
     # the identical-outcomes assertion above: reduction changes the
     # state count by design -- the invariant here is verdict identity
     # and the collapse ratio, which bench_compare.py gates on.
-    full, full_samples = bench(CheckOptions(**REDUCTION_ROW),
-                               args.repeats, protocol=REDUCTION_PROTOCOL)
-    reduced, reduced_samples = bench(
-        CheckOptions(**REDUCTION_ROW,
-                     reduction=ReductionOptions(symmetry=True)),
-        args.repeats, protocol=REDUCTION_PROTOCOL)
-    if full.ok != reduced.ok:
+    full, full_samples = bench("reduction_full", args.repeats)
+    reduced, reduced_samples = bench("reduction_reduced", args.repeats)
+    if full["ok"] != reduced["ok"]:
         raise SystemExit(
-            f"reduction changed the verdict: full ok={full.ok}, "
-            f"reduced ok={reduced.ok}")
-    if reduced.canonical_states is None:
+            f"reduction changed the verdict: full ok={full['ok']}, "
+            f"reduced ok={reduced['ok']}")
+    if reduced["canonical_states"] is None:
         raise SystemExit(
             f"{REDUCTION_PROTOCOL} failed symmetry certification; the "
             "reduction row must use a certifying protocol")
     reduction = {
         "protocol": REDUCTION_PROTOCOL,
         "row": dict(REDUCTION_ROW),
-        "states_full": full.states_explored,
-        "states_reduced": reduced.states_explored,
-        "state_ratio": round(
-            full.states_explored / reduced.states_explored, 4),
+        "states_full": full["states"],
+        "states_reduced": reduced["states"],
+        "state_ratio": round(full["states"] / reduced["states"], 4),
         "wall_seconds_full": timing_row(full_samples)["wall_seconds"],
         "wall_seconds_reduced": timing_row(
             reduced_samples)["wall_seconds"],
@@ -187,8 +215,9 @@ def main() -> int:
         "protocol": PROTOCOL,
         "row": dict(ROW),
         "repeats": args.repeats,
-        "timer": "median-of-repeats wall time around api.check() after "
-                 "one untimed warmup, min/max spread per row",
+        "timer": "median-of-repeats wall time around api.check(), one "
+                 "fresh interpreter per repeat (protocol compiled first, "
+                 "no warm-up), min/max spread per row",
         "configs": rows,
         # Symmetry collapse at 3 nodes; state_ratio is gated by
         # bench_compare.py alongside baseline.states_per_second.
@@ -196,7 +225,7 @@ def main() -> int:
         # The armed serial run's phase split, so the committed artifact
         # doubles as a where-do-the-cycles-go snapshot for the ROADMAP
         # hot-loop work.
-        "profiled_phases": dict(profile.phases) if profile else {},
+        "profiled_phases": phases or {},
         "note": "verdict/states/transitions are asserted identical in "
                 "all configurations; profiler and atlas are pure "
                 "observers -- overhead is host wall time, and deltas "
@@ -205,7 +234,6 @@ def main() -> int:
                 "(bench_compare.py).",
     })
     write_bench(args.output, report)
-    ckpt_tmp.cleanup()
     return 0
 
 

@@ -12,6 +12,7 @@ each benchmark keeps its own row layout.
 
 from __future__ import annotations
 
+import json
 import os
 import platform
 import subprocess
@@ -101,3 +102,18 @@ def write_bench(path: str, report: dict) -> None:
     # not leave a torn BENCH_*.json that bench_compare.py then parses.
     atomic_write_json(path, report, indent=2)
     print(f"wrote {path}")
+
+
+def cold_sample(script: str, *args: str) -> dict:
+    """Run ``script --child ARGS`` in a fresh interpreter and return the
+    JSON object it prints last.
+
+    Bench rows time one run per process: nothing an earlier repeat
+    compiled, interned or cached survives into the next sample, so each
+    sample is what one cold ``teapot verify`` invocation gets."""
+    proc = subprocess.run([sys.executable, script, "--child", *args],
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{os.path.basename(script)} --child "
+                         f"{' '.join(args)} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])
