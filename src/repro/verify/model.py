@@ -67,9 +67,13 @@ class AppView:
 # substructure to one shared object, so successor states share storage
 # with their parents, equality checks hit the identity fast path inside
 # tuple comparison, and cached hashes are computed once per distinct
-# value instead of once per state.  The tables are process-global and
-# never evicted: the working set is bounded by the number of *distinct*
-# substructures, which is tiny compared to the number of states.
+# value instead of once per state.  Interned views and messages also
+# carry their canonical fingerprint bytes once first encoded (see
+# repro.verify.fingerprint), so a successor's fingerprint re-encodes
+# none of the pieces it shares with its parent.  The tables are
+# process-global and never evicted: the working set is bounded by the
+# number of *distinct* substructures, which is tiny compared to the
+# number of states.
 
 _VIEW_INTERN: dict = {}
 _MESSAGE_INTERN: dict = {}
